@@ -343,6 +343,68 @@ func BenchmarkCoarsenAllocate(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocateStages is the stage layer of a cold request's ranked
+// sweep on one Medium graph, scored by the model allocserve serves by
+// default (Hidden 24, Seed 1). Each stage sub-benchmark runs that stage
+// once for every sweep candidate, on the graph's demand view as the sweep
+// does, so one op is one sweep's worth of the stage; "sweep" is the whole
+// Pipeline.AllocateRanked call the stages add up to, less its ranking.
+func BenchmarkAllocateStages(b *testing.B) {
+	s := gen.Medium()
+	c := s.Cluster
+	g := gen.GenerateSet(s.Config, 1, s.Seed)[0]
+	model := core.New(core.Config{Hidden: 24, Seed: 1})
+	pipe := &core.Pipeline{Model: model, Placer: placer.Metis{Seed: 1}}
+	probs := model.Probs(g, c)
+	view := g.DemandView()
+
+	var (
+		ds  []core.Decision
+		cms []*stream.CoarseMap
+		cgs []*stream.Graph
+		cps []*stream.Placement
+		ps  []*stream.Placement
+	)
+	for _, target := range core.SweepTargets(g.NumNodes(), c.Devices) {
+		d := core.CoarsenToRanked(g, target, probs)
+		cm := stream.CollapseEdges(view, d)
+		cg := stream.CoarseGraph(view, cm)
+		cp := pipe.Placer.Place(cg, c)
+		ds, cms, cgs, cps = append(ds, d), append(cms, cm), append(cgs, cg), append(cps, cp)
+		ps = append(ps, stream.ExpandPlacement(cm, cp))
+	}
+	stages := []struct {
+		name string
+		run  func(i int)
+	}{
+		{"collapse", func(i int) { stream.CollapseEdges(view, ds[i]) }},
+		{"coarsegraph", func(i int) { stream.CoarseGraph(view, cms[i]) }},
+		{"metis", func(i int) { pipe.Placer.Place(cgs[i], c) }},
+		{"expand", func(i int) { stream.ExpandPlacement(cms[i], cps[i]) }},
+		{"simulate", func(i int) {
+			if _, err := sim.Simulate(view, ps[i], c); err != nil {
+				b.Fatal(err)
+			}
+		}},
+	}
+	for _, st := range stages {
+		b.Run(st.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for i := range ds {
+					st.run(i)
+				}
+			}
+		})
+	}
+	b.Run("sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			pipe.AllocateRanked(g, c, probs)
+		}
+	})
+}
+
 func BenchmarkGraphGeneration(b *testing.B) {
 	c := sim.DefaultCluster(10, 1500)
 	cfg := gen.DefaultConfig(400, 500, 10_000, c)

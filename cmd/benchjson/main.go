@@ -24,6 +24,8 @@
 //
 // Duplicate entries for one benchmark (e.g. from -count=3) collapse to
 // their minimum — the standard noise filter for wall-clock comparisons.
+// Reports from different hosts — a different cpu: line or GOMAXPROCS
+// name suffix — are refused with exit status 2, never compared.
 package main
 
 import (
@@ -235,8 +237,29 @@ func pctDelta(old, new float64) float64 {
 	return (new - old) / old * 100
 }
 
+// hostOf names the machine a report was recorded on: its cpu: line and
+// the GOMAXPROCS suffixes go test appended to the benchmark names (none
+// at GOMAXPROCS=1).
+func hostOf(rep *report) string {
+	seen := map[string]bool{}
+	for _, r := range rep.Benchmarks {
+		procs := strings.TrimPrefix(gomaxprocsSuffix.FindString(r.Name), "-")
+		if procs == "" {
+			procs = "1"
+		}
+		seen[procs] = true
+	}
+	procs := make([]string, 0, len(seen))
+	for p := range seen {
+		procs = append(procs, p)
+	}
+	sort.Strings(procs)
+	return fmt.Sprintf("cpu %q, GOMAXPROCS %s", rep.CPU, strings.Join(procs, ","))
+}
+
 // runDiff prints a per-benchmark delta table and returns the exit code:
-// 0 when no benchmark regressed past the threshold, 1 otherwise. Only
+// 0 when no benchmark regressed past the threshold, 1 otherwise, and 2
+// when a report is unreadable or the two come from different hosts. Only
 // benchmarks present in both reports are gated; additions and removals
 // are reported informationally.
 func runDiff(prevPath, newPath string, threshold float64) int {
@@ -248,6 +271,13 @@ func runDiff(prevPath, newPath string, threshold float64) int {
 	newRep, err := loadReport(newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	// Absolute timings from two machines say nothing about a code change:
+	// refuse, loudly, rather than gate one host against another.
+	if hp, hn := hostOf(prevRep), hostOf(newRep); hp != hn {
+		fmt.Fprintf(os.Stderr, "benchjson: refusing to compare reports from different hosts:\n  %s: %s\n  %s: %s\n",
+			prevPath, hp, newPath, hn)
 		return 2
 	}
 	prev, cur := summarize(prevRep), summarize(newRep)

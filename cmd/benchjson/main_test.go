@@ -148,3 +148,37 @@ func TestRunDiffFailsOnGFLOPsRegression(t *testing.T) {
 		t.Fatalf("throughput regression must fail the gate, got exit %d", code)
 	}
 }
+
+func TestRunDiffRefusesDifferentHosts(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, cpu string, recs ...record) string {
+		data, err := json.Marshal(&report{CPU: cpu, Benchmarks: recs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const xeon, epyc = "Intel(R) Xeon(R) Processor @ 2.10GHz", "AMD EPYC 7B13"
+	base := write("base.json", xeon, rec("BenchmarkA", 1000, 50))
+	for _, tc := range []struct {
+		name string
+		path string
+		want int
+	}{
+		// Identical numbers: only the host differs, and that alone refuses.
+		{"other cpu", write("cpu.json", epyc, rec("BenchmarkA", 1000, 50)), 2},
+		{"other GOMAXPROCS", write("procs.json", xeon, rec("BenchmarkA-2", 1000, 50)), 2},
+		{"same host", write("same.json", xeon, rec("BenchmarkA", 1000, 50)), 0},
+	} {
+		if code := runDiff(base, tc.path, 10); code != tc.want {
+			t.Errorf("%s: exit %d, want %d", tc.name, code, tc.want)
+		}
+	}
+	if h := hostOf(&report{CPU: xeon, Benchmarks: []record{rec("BenchmarkA-8", 1, 1)}}); !strings.Contains(h, xeon) || !strings.Contains(h, "GOMAXPROCS 8") {
+		t.Fatalf("host %q must name the cpu and GOMAXPROCS", h)
+	}
+}

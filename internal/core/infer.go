@@ -1,11 +1,12 @@
 // infer.go is the model's tape-free forward pass for serving: the same
 // merge probabilities EdgeProbs records on the autodiff tape, computed
 // directly over the fused tensor kernels with scratch from a pooled
-// tensor.Scope. Every kernel call mirrors its tape twin — including the
-// materialized transposed projection copies that the tape's MatMul∘
-// Transpose pairs produce — so for identical parameter values the output
-// is bit-identical to the training path. That is what makes "served
-// placement == offline CoarsenAllocate placement" a testable claim.
+// tensor.Scope. Every product row is computed by the same kernel, from
+// the same operands, as its tape twin — including the materialized
+// transposed projection copies that the tape's MatMul∘Transpose pairs
+// produce — so for identical parameter values the output is bit-identical
+// to the training path. That is what makes "served placement == offline
+// CoarsenAllocate placement" a testable claim.
 package core
 
 import (
@@ -41,13 +42,16 @@ func (mo *Model) InferProbsInto(r nn.ValueReader, f *gnn.Features, out []float64
 		v := r.Value(p)
 		return tensor.TransposeInto(v, sc.Get(v.Cols, v.Rows))
 	}
-	e := f.Edge.Rows
-	gHead := tensor.GatherRowsInto(h, f.Src, sc.Get(e, h.Cols))
-	gTail := tensor.GatherRowsInto(h, f.Dst, sc.Get(e, h.Cols))
+	// Head/tail projections run project-then-gather: one product row per
+	// node, then each edge copies its endpoints' rows straight into the
+	// concatenated edge representation. The tape gathers first and
+	// projects per edge, but every row is the same product-row call on
+	// the same node embedding, so the values are bit-identical.
+	n, e := h.Rows, f.Edge.Rows
 	wHeadT := transposed(mo.wHead)
 	wTailT := transposed(mo.wTail)
-	hHead := tensor.MatMulInto(gHead, wHeadT, sc.Get(e, wHeadT.Cols)) // E×M
-	hTail := tensor.MatMulInto(gTail, wTailT, sc.Get(e, wTailT.Cols)) // E×M
+	pHead := tensor.MatMulInto(h, wHeadT, sc.Get(n, wHeadT.Cols))
+	pTail := tensor.MatMulInto(h, wTailT, sc.Get(n, wTailT.Cols))
 
 	var eProj *tensor.Matrix
 	if mo.Cfg.UseEdgeCollapse {
@@ -57,7 +61,14 @@ func (mo *Model) InferProbsInto(r nn.ValueReader, f *gnn.Features, out []float64
 		eProj = sc.GetZeroed(e, mo.Cfg.EdgeDim)
 	}
 
-	cat := tensor.ConcatColsInto(sc.Get(e, hHead.Cols+hTail.Cols+eProj.Cols), hHead, hTail, eProj)
+	mh, mt := pHead.Cols, pTail.Cols
+	cat := sc.Get(e, mh+mt+eProj.Cols) // [head : tail : edge] per edge
+	for i := 0; i < e; i++ {
+		row := cat.Row(i)
+		copy(row[:mh], pHead.Row(f.Src[i]))
+		copy(row[mh:mh+mt], pTail.Row(f.Dst[i]))
+		copy(row[mh+mt:], eProj.Row(i))
+	}
 	w1mT := transposed(mo.w1m)
 	hEdge := tensor.MatMulInto(cat, w1mT, sc.Get(e, w1mT.Cols))
 	p := mo.head.Infer(sc, r, hEdge) // E×1, sigmoid

@@ -235,6 +235,11 @@ type Allocation struct {
 	Coarse    *stream.CoarseMap
 	// CoarseGraph is the graph the placer saw.
 	CoarseGraph *stream.Graph
+	// Result is the simulated steady state of Placement on the original
+	// graph. AllocateRanked fills it with the winner's simulation, so
+	// callers need not simulate the placement again; the other
+	// constructors leave it zero.
+	Result sim.Result
 }
 
 // AllocateDecision runs the pipeline with an explicit decision vector.
@@ -270,8 +275,9 @@ func (pl *Pipeline) Allocate(g *stream.Graph, c sim.Cluster) Allocation {
 // collapsed in descending score order (skipping cycle-closing edges), and
 // each time the super-node count crosses the next target size the
 // corresponding decision snapshot is evaluated end-to-end. The best
-// allocation wins. Target sizes are multiples of the device count, the
-// same knob Metis exposes as its coarsening scale.
+// allocation wins (the first on ties) and carries its simulation in
+// Result. Target sizes are multiples of the device count, the same knob
+// Metis exposes as its coarsening scale.
 func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float64) Allocation {
 	n := g.NumNodes()
 	type pe struct {
@@ -288,29 +294,7 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 		}
 		return order[a].ei < order[b].ei
 	})
-	// Candidate super-node counts: light coarsenings as fractions of n
-	// (where most of the benefit typically lies) plus heavy coarsenings as
-	// multiples of the device count.
-	k := c.Devices
-	var raw []int
-	for _, f := range []float64{1, 0.92, 0.84, 0.75, 0.65, 0.55, 0.45, 0.35, 0.25} {
-		raw = append(raw, int(f*float64(n)))
-	}
-	// Sub-device-count targets let the pipeline use fewer devices than
-	// available — essential in the excess-device setting, where the
-	// optimal allocation leaves devices idle.
-	for _, m := range []float64{8, 4, 2, 1, 0.75, 0.5, 0.25} {
-		t := int(m * float64(k))
-		if t >= 1 {
-			raw = append(raw, t)
-		}
-	}
-	targets := []int{n}
-	for _, t := range raw {
-		if t >= 1 && t < targets[len(targets)-1] {
-			targets = append(targets, t)
-		}
-	}
+	targets := SweepTargets(n, c.Devices)
 
 	parent := make([]int, n)
 	for i := range parent {
@@ -324,6 +308,10 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 		}
 		return x
 	}
+	// Every candidate coarsens, partitions and simulates the same graph:
+	// propagate its steady-state demands once and let all of them read
+	// the result (bit-identical to recomputing them per call).
+	view := g.DemandView()
 	d := make(Decision, len(score))
 	comps := n
 	var best Allocation
@@ -331,9 +319,14 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 	evalSnapshot := func() {
 		snap := make(Decision, len(d))
 		copy(snap, d)
-		a := pl.AllocateDecision(g, c, snap)
-		if r := sim.Reward(g, a.Placement, c); r > bestR {
-			best, bestR = a, r
+		a := pl.AllocateDecision(view, c, snap)
+		res, err := sim.Simulate(view, a.Placement, c)
+		if err != nil {
+			panic("core: ranked sweep produced an invalid placement: " + err.Error())
+		}
+		if res.Relative > bestR {
+			a.Result = res
+			best, bestR = a, res.Relative
 		}
 	}
 	ti := 0
@@ -357,6 +350,34 @@ func (pl *Pipeline) AllocateRanked(g *stream.Graph, c sim.Cluster, score []float
 		next++
 	}
 	return best
+}
+
+// SweepTargets lists the super-node counts AllocateRanked evaluates for n
+// operators on k devices, in its order: descending, starting at n.
+func SweepTargets(n, k int) []int {
+	// Candidate super-node counts: light coarsenings as fractions of n
+	// (where most of the benefit typically lies) plus heavy coarsenings as
+	// multiples of the device count.
+	var raw []int
+	for _, f := range []float64{1, 0.92, 0.84, 0.75, 0.65, 0.55, 0.45, 0.35, 0.25} {
+		raw = append(raw, int(f*float64(n)))
+	}
+	// Sub-device-count targets let the pipeline use fewer devices than
+	// available — essential in the excess-device setting, where the
+	// optimal allocation leaves devices idle.
+	for _, m := range []float64{8, 4, 2, 1, 0.75, 0.5, 0.25} {
+		t := int(m * float64(k))
+		if t >= 1 {
+			raw = append(raw, t)
+		}
+	}
+	targets := []int{n}
+	for _, t := range raw {
+		if t >= 1 && t < targets[len(targets)-1] {
+			targets = append(targets, t)
+		}
+	}
+	return targets
 }
 
 // AllocateGreedy runs pure threshold-0.5 inference (used by ablations).

@@ -1,10 +1,10 @@
 // infer.go is the encoder's tape-free forward pass for serving. It mirrors
-// Encode kernel-for-kernel — the same fused tensor kernels, the same
-// operand order, the same materialized W1ᵀ/W2ᵀ copies — so for identical
-// parameter values the returned embeddings are bit-identical to the
-// training-path forward pass. Scratch comes from the caller's tensor.Scope
-// instead of the tape, so a reused scope performs no steady-state
-// allocation.
+// Encode row for row — the same product-row kernel on the same operands,
+// the same materialized W1ᵀ/W2ᵀ copies, the same accumulation order — so
+// for identical parameter values the returned embeddings are bit-identical
+// to the training-path forward pass. Scratch comes from the caller's
+// tensor.Scope instead of the tape, so a reused scope performs no
+// steady-state allocation.
 package gnn
 
 import (
@@ -36,13 +36,18 @@ func (e *Encoder) EncodeInfer(sc *tensor.Scope, r nn.ValueReader, f *Features) *
 
 	for k := 0; k < e.K; k++ {
 		// Upstream messages: transform the head node of each edge (+ edge
-		// features), mean-pool at the tail; downstream mirrors it. The
-		// whole hop is one fused CSR kernel — per-edge message rows live
-		// only in worker-local scratch, so the E×M message matrix never
-		// exists on the serving path (per-row arithmetic and per-bucket
-		// accumulation order match the tape path bit-for-bit).
-		aggIn := tensor.GatherMatMulAddTanhSegMeanCSRInto(h, f.Src, w1T, efUp, f.InOff, f.InEdge, sc.Get(n, m))
-		aggOut := tensor.GatherMatMulAddTanhSegMeanCSRInto(h, f.Dst, w1T, efDown, f.OutOff, f.OutEdge, sc.Get(n, m))
+		// features), mean-pool at the tail; downstream mirrors it. Both
+		// directions transform a neighbour's embedding by the same W1, so
+		// the hop projects every node once (p = h·W1ᵀ) and each direction
+		// gathers from p: N product rows where per-edge transforms took
+		// 2E. The gather, activation and mean then run as one fused CSR
+		// kernel, so the E×M message matrix never exists on the serving
+		// path. Each p row is the product row the tape path computes for
+		// that node, and per-bucket accumulation order matches, so the
+		// result is bit-identical to the tape path.
+		p := tensor.MatMulInto(h, w1T, sc.Get(n, m))
+		aggIn := tensor.GatherAddTanhSegMeanCSRInto(p, f.Src, efUp, f.InOff, f.InEdge, sc.Get(n, m))
+		aggOut := tensor.GatherAddTanhSegMeanCSRInto(p, f.Dst, efDown, f.OutOff, f.OutEdge, sc.Get(n, m))
 
 		// [own half : aggregated messages] → next half: the fused kernel
 		// assembles each concatenated row in scratch, copying the same

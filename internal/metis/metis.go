@@ -212,7 +212,7 @@ func partitionWGraph(wg *wgraph, opts Options) []int {
 		cur = coarse
 	}
 	// Initial partition of the coarsest graph.
-	part := initialPartition(cur, opts, rng)
+	part := initialPartition(cur, opts)
 	refine(cur, part, opts, rng)
 	// Uncoarsening with refinement.
 	for li := len(levels) - 2; li >= 0; li-- {
@@ -293,7 +293,7 @@ func heavyEdgeMatch(g *wgraph, rng *rand.Rand) (*wgraph, []int) {
 
 // initialPartition greedily assigns the coarsest nodes: heaviest first,
 // each to the part minimizing (load, then cut increase).
-func initialPartition(g *wgraph, opts Options, rng *rand.Rand) []int {
+func initialPartition(g *wgraph, opts Options) []int {
 	n := g.n()
 	part := make([]int, n)
 	for i := range part {
@@ -326,7 +326,6 @@ func initialPartition(g *wgraph, opts Options, rng *rand.Rand) []int {
 				best, bestScore = p, score
 			}
 		}
-		_ = rng
 		part[v] = best
 		loads[best] += g.nw[v]
 	}

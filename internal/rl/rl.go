@@ -988,8 +988,7 @@ func (t *Trainer) CurriculumCtx(ctx context.Context, levels []Level) error {
 // every graph and returns the per-graph relative throughputs.
 func Evaluate(pipe *core.Pipeline, graphs []*stream.Graph, cluster sim.Cluster) []float64 {
 	return evalWith(graphs, func(i int) float64 {
-		alloc := pipe.Allocate(graphs[i], cluster)
-		return sim.Reward(graphs[i], alloc.Placement, cluster)
+		return pipe.Allocate(graphs[i], cluster).Result.Relative
 	})
 }
 

@@ -383,7 +383,7 @@ func (s *Service) AllocateCtx(ctx context.Context, g *stream.Graph, c sim.Cluste
 		Assign:       a.Placement.Assign,
 		Devices:      a.Placement.Devices,
 		NumSuper:     a.Coarse.NumSuper,
-		Relative:     sim.Reward(g, a.Placement, c),
+		Relative:     a.Result.Relative,
 		ModelVersion: p.ver.id,
 		BatchSize:    p.batchSize,
 		Fingerprint:  fp,

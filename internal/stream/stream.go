@@ -13,7 +13,9 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -76,6 +78,22 @@ func (g *Graph) SetDemandOverrides(load, traffic []float64) {
 	}
 	g.loadOverride = load
 	g.trafficOverride = traffic
+}
+
+// DemandView returns a shallow view of g whose NodeLoad and EdgeTraffic
+// are computed once, here, and then served as demand overrides. The view
+// shares g's nodes, edges and CSR cache, so g must not be mutated while
+// the view is in use. Callers that coarsen, partition or simulate one
+// graph many times use it so steady-state rates are propagated once, not
+// per call; the overrides hold exactly the values g itself returns, so
+// every result computed on the view is bit-identical.
+func (g *Graph) DemandView() *Graph {
+	g.ensureAdj()
+	return &Graph{
+		Nodes: g.Nodes, Edges: g.Edges, SourceRate: g.SourceRate,
+		outOff: g.outOff, inOff: g.inOff, outAdj: g.outAdj, inAdj: g.inAdj,
+		loadOverride: g.NodeLoad(), trafficOverride: g.EdgeTraffic(),
+	}
 }
 
 // NewGraph returns an empty graph with the given source tuple rate.
@@ -505,17 +523,16 @@ func CollapseEdges(g *Graph, collapse []bool) *CoarseMap {
 func coarseFromUF(g *Graph, uf *unionFind) *CoarseMap {
 	n := len(g.Nodes)
 	super := make([]int, n)
+	// rootID[r] is 1 + the super id of union-find root r (0: not seen yet).
+	rootID := make([]int, n)
 	next := 0
-	rootID := make(map[int]int, n)
 	for v := 0; v < n; v++ {
 		r := uf.find(v)
-		id, ok := rootID[r]
-		if !ok {
-			id = next
+		if rootID[r] == 0 {
 			next++
-			rootID[r] = id
+			rootID[r] = next
 		}
-		super[v] = id
+		super[v] = rootID[r] - 1
 	}
 	return &CoarseMap{Super: super, NumSuper: next}
 }
@@ -556,46 +573,93 @@ func (cm *CoarseMap) CompressionRatio() float64 {
 func CoarseGraph(g *Graph, cm *CoarseMap) *Graph {
 	load := g.NodeLoad()
 	traffic := g.EdgeTraffic()
-	cg := NewGraph(g.SourceRate)
 	superLoad := make([]float64, cm.NumSuper)
 	for v, s := range cm.Super {
 		superLoad[s] += load[v]
-		_ = v
 	}
-	for s := 0; s < cm.NumSuper; s++ {
-		cg.AddNode(Node{
-			IPT:         superLoad[s] / g.SourceRate,
-			Payload:     0, // set via explicit edge payloads below
-			Selectivity: 1,
-			Name:        fmt.Sprintf("s%d", s),
-		})
+	k := cm.NumSuper
+	cg := NewGraph(g.SourceRate)
+	cg.Nodes = make([]Node, k)
+	for s := range cg.Nodes {
+		cg.Nodes[s] = Node{IPT: superLoad[s] / g.SourceRate, Selectivity: 1}
 	}
-	// Aggregate inter-super traffic; key = src*NumSuper+dst.
-	agg := make(map[int]float64)
-	for ei, e := range g.Edges {
-		su, sv := cm.Super[e.Src], cm.Super[e.Dst]
-		if su == sv {
-			continue
+	nameSuperNodes(cg.Nodes)
+	// Bucket the inter-super edges by source super-node with a stable
+	// counting sort, so each bucket lists its edges in index order.
+	start := make([]int, k+1)
+	for _, e := range g.Edges {
+		if su := cm.Super[e.Src]; su != cm.Super[e.Dst] {
+			start[su+1]++
 		}
-		agg[su*cm.NumSuper+sv] += traffic[ei]
 	}
-	keys := make([]int, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
+	for s := 0; s < k; s++ {
+		start[s+1] += start[s]
 	}
-	sort.Ints(keys)
-	superTraffic := make([]float64, 0, len(keys))
-	for _, k := range keys {
-		su, sv := k/cm.NumSuper, k%cm.NumSuper
-		// Super edges carry the aggregate traffic: payload × SourceRate =
-		// aggregate bits/s, with the super graph treated as rate-SourceRate.
-		cg.AddEdge(su, sv, agg[k]/g.SourceRate)
-		superTraffic = append(superTraffic, agg[k])
+	bySrc := make([]int, start[k])
+	cursor := append([]int(nil), start[:k]...)
+	for ei, e := range g.Edges {
+		if su := cm.Super[e.Src]; su != cm.Super[e.Dst] {
+			bySrc[cursor[su]] = ei
+			cursor[su]++
+		}
+	}
+	// Within a source bucket, sum traffic per destination super-node in
+	// edge-index order, then emit the super-edges by ascending destination:
+	// the (src, dst) order and summation order of a sorted aggregation.
+	cg.Edges = make([]Edge, 0, len(bySrc))
+	superTraffic := make([]float64, 0, len(bySrc))
+	sum := make([]float64, k)
+	seen := cursor // reused: seen[sv] == su+1 once sv is a destination of su
+	clear(seen)
+	dsts := make([]int, 0, 16)
+	for su := 0; su < k; su++ {
+		dsts = dsts[:0]
+		for _, ei := range bySrc[start[su]:start[su+1]] {
+			sv := cm.Super[g.Edges[ei].Dst]
+			if seen[sv] != su+1 {
+				seen[sv] = su + 1
+				dsts = append(dsts, sv)
+			}
+			sum[sv] += traffic[ei]
+		}
+		slices.Sort(dsts)
+		for _, sv := range dsts {
+			// Super edges carry the aggregate traffic: payload × SourceRate
+			// = aggregate bits/s, with the super graph treated as
+			// rate-SourceRate.
+			cg.Edges = append(cg.Edges, Edge{Src: su, Dst: sv, Payload: sum[sv] / g.SourceRate})
+			superTraffic = append(superTraffic, sum[sv])
+			sum[sv] = 0
+		}
 	}
 	// Collapsing DAG edges can create cycles among super-nodes, so demands
 	// are pinned to their exact aggregates rather than re-propagated.
 	cg.SetDemandOverrides(superLoad, superTraffic)
 	return cg
+}
+
+// nameSuperNodes names nodes[s] "s<s>". The names are substrings of one
+// backing string, so naming k super-nodes costs two allocations rather
+// than one per node.
+func nameSuperNodes(nodes []Node) {
+	k := len(nodes)
+	size := 2 * k // "s" and the first digit of every name
+	for p := 10; p < k; p *= 10 {
+		size += k - p // one more digit for every s ≥ p
+	}
+	buf := make([]byte, 0, size)
+	for s := range nodes {
+		buf = strconv.AppendInt(append(buf, 's'), int64(s), 10)
+	}
+	all := string(buf)
+	start, width, next := 0, 2, 10
+	for s := range nodes {
+		if s == next {
+			width, next = width+1, next*10
+		}
+		nodes[s].Name = all[start : start+width]
+		start += width
+	}
 }
 
 // ExpandPlacement maps a placement of the coarse graph back onto the

@@ -2,8 +2,8 @@
 // ScatterAddRows that take a prebuilt bucket structure (offsets + member
 // row ids, as produced by stream.Graph.Adjacency or bucketByKey) instead
 // of re-bucketing a segment-id vector on every call, plus the fused
-// gather-project-mean kernel the zero-tape inference path uses so the E×M
-// message matrix is never materialized.
+// gather-activate-mean kernel the zero-tape inference path uses so the
+// E×M message matrix is never materialized.
 //
 // Determinism contract (see kernels.go): members inside one bucket must be
 // ascending, matching the order bucketByKey produces. Each bucket then
@@ -104,30 +104,27 @@ func ScatterAddRowsCSR(dst, src *Matrix, offs []int32, members []int) {
 	parallel.RunChunks(dst.Rows, parallel.DefaultWorkers(), rowRange)
 }
 
-// GatherMatMulAddTanhSegMeanCSRInto fuses one whole GNN message hop for
-// the inference path: dst.Row(s) = mean over bucket-s members e of
-// tanh(a.Row(idx[e])·b + add.Row(e)), with add nil to skip the additive
-// term. Each member row is computed into a worker-local scratch and
-// accumulated immediately, so the E×M message matrix never exists — at a
-// million edges that is the difference between O(N·M) and O(E·M) live
-// memory. Per-row arithmetic matches GatherMatMulAddTanhInto and the
-// bucket accumulation matches SegmentMeanCSRInto, so the result is
-// bit-identical to the unfused pair.
-func GatherMatMulAddTanhSegMeanCSRInto(a *Matrix, idx []int, b, add *Matrix, offs []int32, members []int, dst *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: gather-mean-csr shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
+// GatherAddTanhSegMeanCSRInto fuses the gather, activation and mean of
+// one GNN message hop for the inference path: dst.Row(s) = mean over
+// bucket-s members e of tanh(p.Row(idx[e]) + add.Row(e)), with add nil to
+// skip the additive term and p the hop's per-node projection a·b, which
+// the caller computes once and may share between hop directions. Each
+// message is accumulated as it is formed, so the E×M message matrix never
+// exists — at a million edges that is the difference between O(N·M) and
+// O(E·M) live memory. Per-element
+// arithmetic matches GatherMatMulAddTanhInto and the bucket accumulation
+// matches SegmentMeanCSRInto, so the result is bit-identical to the
+// unfused pair.
+func GatherAddTanhSegMeanCSRInto(p *Matrix, idx []int, add *Matrix, offs []int32, members []int, dst *Matrix) *Matrix {
 	segments := len(offs) - 1
-	n := b.Cols
+	n := p.Cols
 	mustShape("gather-mean-csr dst", dst, segments, n)
 	if add != nil {
 		mustShape("gather-mean-csr add", add, len(idx), n)
 	}
-	checkGather(idx, a.Rows)
+	checkGather(idx, p.Rows)
 	checkCSR("gather-mean-csr", offs, members, len(idx))
 	segRange := func(lo, hi int) {
-		buf := Get(1, n)
-		row := buf.Data
 		for s := lo; s < hi; s++ {
 			orow := dst.Row(s)
 			for j := range orow {
@@ -138,20 +135,16 @@ func GatherMatMulAddTanhSegMeanCSRInto(a *Matrix, idx []int, b, add *Matrix, off
 				continue
 			}
 			for _, e := range members[mlo:mhi] {
-				r := idx[e]
-				productRow(a.Data[r*a.Cols:(r+1)*a.Cols], b.Data, n, row)
+				prow := p.Data[idx[e]*n : (idx[e]+1)*n]
 				if add != nil {
 					arow := add.Data[e*n : (e+1)*n]
-					for j, v := range row {
-						row[j] = math.Tanh(v + arow[j])
+					for j, v := range prow {
+						orow[j] += math.Tanh(v + arow[j])
 					}
 				} else {
-					for j, v := range row {
-						row[j] = math.Tanh(v)
+					for j, v := range prow {
+						orow[j] += math.Tanh(v)
 					}
-				}
-				for j, v := range row {
-					orow[j] += v
 				}
 			}
 			inv := 1 / float64(mhi-mlo)
@@ -159,9 +152,8 @@ func GatherMatMulAddTanhSegMeanCSRInto(a *Matrix, idx []int, b, add *Matrix, off
 				orow[j] *= inv
 			}
 		}
-		Put(buf)
 	}
-	work := len(members) * a.Cols * n
+	work := len(members) * n * (tanhWork + 2)
 	if work < parallelThreshold {
 		segRange(0, segments)
 		return dst

@@ -94,9 +94,10 @@ func TestScatterAddRowsCSRBitIdenticalToPar(t *testing.T) {
 	}
 }
 
-// TestGatherSegMeanCSRBitIdenticalToUnfused pins the fully fused
-// gather-project-mean kernel against the unfused GatherMatMulAddTanhInto →
-// SegmentMeanInto pair it replaces on the inference path.
+// TestGatherSegMeanCSRBitIdenticalToUnfused pins the fused
+// gather-activate-mean kernel, fed the per-node projection, against the
+// unfused GatherMatMulAddTanhInto → SegmentMeanInto pair it replaces on
+// the inference path.
 func TestGatherSegMeanCSRBitIdenticalToUnfused(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct{ nodes, edges, k, m, segments int }{
@@ -129,8 +130,9 @@ func TestGatherSegMeanCSRBitIdenticalToUnfused(t *testing.T) {
 			want := SegmentMeanInto(msg, seg, sh.segments, New(sh.segments, sh.m))
 			for _, procs := range []int{1, runtime.NumCPU()} {
 				runtime.GOMAXPROCS(procs)
-				got := GatherMatMulAddTanhSegMeanCSRInto(h, idx, b, am, offs, members, New(sh.segments, sh.m))
-				mustBitEqual(t, "GatherMatMulAddTanhSegMeanCSRInto", got, want)
+				p := MatMulInto(h, b, New(sh.nodes, sh.m))
+				got := GatherAddTanhSegMeanCSRInto(p, idx, am, offs, members, New(sh.segments, sh.m))
+				mustBitEqual(t, "GatherAddTanhSegMeanCSRInto", got, want)
 			}
 		}
 	}

@@ -19,6 +19,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -302,10 +303,23 @@ func GatherMatMulInto(a *Matrix, idx []int, b, dst *Matrix) *Matrix {
 	return dst
 }
 
+// tanhWork is the cost of one math.Tanh in the work units the parallel
+// fan-out threshold counts (one multiply-add of the product kernels): on
+// the pre-activation magnitudes a GNN hop produces, a tanh takes about as
+// long as 30 multiply-adds in quadAxpy on x86-64. Kernels whose
+// per-element work is a tanh rather than a product row weigh it, so they
+// still split across workers at the sizes where that pays — about 90
+// edges at the default width, measured on a 2-vCPU Xeon.
+const tanhWork = 30
+
 // GatherMatMulAddTanhInto computes tanh(gather(a, idx)·b + add) into dst —
-// the fused forward step of one GNN message transform: gather reads rows
-// in place, the additive term (nil to skip) and the activation are applied
-// in the store loop, and no intermediate matrix is ever materialized.
+// the fused forward step of one GNN message transform, with add nil to
+// skip the additive term. It runs project-then-gather: p = a·b is formed
+// once per row of a in transient scratch, then output row e is
+// tanh(p.Row(idx[e]) + add.Row(e)), so the product runs once per node
+// instead of once per edge and no E×K gathered matrix exists. Every p row
+// is the productRow call the per-edge form made for each edge gathering
+// that row, so the result is bit-identical to it.
 func GatherMatMulAddTanhInto(a *Matrix, idx []int, b, add, dst *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: gather-matmul-add-tanh shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -316,30 +330,67 @@ func GatherMatMulAddTanhInto(a *Matrix, idx []int, b, add, dst *Matrix) *Matrix 
 	}
 	checkGather(idx, a.Rows)
 	n := b.Cols
-	rowRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := idx[i]
-			orow := dst.Data[i*n : (i+1)*n]
-			productRow(a.Data[r*a.Cols:(r+1)*a.Cols], b.Data, n, orow)
-			if add != nil {
-				arow := add.Data[i*n : (i+1)*n]
-				for j, v := range orow {
-					orow[j] = math.Tanh(v + arow[j])
-				}
-			} else {
-				for j, v := range orow {
-					orow[j] = math.Tanh(v)
-				}
+	j := gatherJobs.Get().(*gatherJob)
+	j.a, j.b, j.add, j.p, j.dst, j.idx = a, b, add, Get(a.Rows, n), dst, idx
+	runRows(a.Rows, a.Rows*a.Cols*n, j.project)
+	runRows(len(idx), len(idx)*n*(tanhWork+1), j.gather)
+	Put(j.p)
+	*j = gatherJob{project: j.project, gather: j.gather}
+	gatherJobs.Put(j)
+	return dst
+}
+
+// gatherJob carries one GatherMatMulAddTanhInto call to its two row
+// passes. Jobs are pooled with the passes pre-bound as method values, so
+// a call that fans out across workers allocates nothing.
+type gatherJob struct {
+	a, b, add, p, dst *Matrix
+	idx               []int
+	project, gather   func(lo, hi int)
+}
+
+var gatherJobs = sync.Pool{New: func() any {
+	j := new(gatherJob)
+	j.project, j.gather = j.projectRows, j.gatherRows
+	return j
+}}
+
+// projectRows computes rows [lo, hi) of p = a·b.
+func (j *gatherJob) projectRows(lo, hi int) {
+	a, n := j.a, j.b.Cols
+	for i := lo; i < hi; i++ {
+		productRow(a.Data[i*a.Cols:(i+1)*a.Cols], j.b.Data, n, j.p.Data[i*n:(i+1)*n])
+	}
+}
+
+// gatherRows computes rows [lo, hi) of dst = tanh(gather(p, idx) + add).
+func (j *gatherJob) gatherRows(lo, hi int) {
+	n := j.p.Cols
+	for i := lo; i < hi; i++ {
+		r := j.idx[i]
+		prow := j.p.Data[r*n : (r+1)*n]
+		orow := j.dst.Data[i*n : (i+1)*n]
+		if j.add != nil {
+			arow := j.add.Data[i*n : (i+1)*n]
+			for k, v := range prow {
+				orow[k] = math.Tanh(v + arow[k])
+			}
+		} else {
+			for k, v := range prow {
+				orow[k] = math.Tanh(v)
 			}
 		}
 	}
-	work := len(idx) * a.Cols * b.Cols
+}
+
+// runRows runs fn over rows [0, n), split across workers when the
+// estimated work reaches the parallel threshold.
+func runRows(n, work int, fn func(lo, hi int)) {
 	if work < parallelThreshold {
-		rowRange(0, len(idx))
-		return dst
+		fn(0, n)
+		return
 	}
-	parallel.RunChunks(len(idx), parallel.DefaultWorkers(), rowRange)
-	return dst
+	parallel.RunChunks(n, parallel.DefaultWorkers(), fn)
 }
 
 // MatMulT1Into computes aᵀ·b into dst (a.Cols×b.Cols) and returns dst.
