@@ -24,8 +24,11 @@ build:
 test: build
 	$(GO) test ./...
 
+# allocbench is its own module, so the root ./... skips it: vet it too, so
+# a change to an API the benchmark calls fails here rather than at run time.
 vet:
 	$(GO) vet ./...
+	cd allocbench && $(GO) vet .
 
 # Formatting gate: fail when any tracked Go file is not gofmt-clean.
 fmt:

@@ -136,11 +136,6 @@ func NewPipeline(m *Model) *Pipeline {
 	return &Pipeline{Model: m, Placer: placer.Metis{Seed: 1}}
 }
 
-// NewPipelineWith wraps a model with a custom partitioning stage.
-func NewPipelineWith(m *Model, p Placer) *Pipeline {
-	return &Pipeline{Model: m, Placer: p}
-}
-
 // DefaultTrainConfig returns the paper-shaped training configuration.
 func DefaultTrainConfig() TrainConfig { return rl.DefaultConfig() }
 
@@ -165,7 +160,6 @@ func MediumSetting() Setting   { return gen.Medium() }
 func LargeSetting() Setting    { return gen.Large() }
 func XLargeSetting() Setting   { return gen.XLarge() }
 func HugeSetting() Setting     { return gen.Huge() }
-func ExtremeSetting() Setting  { return gen.Extreme() }
 func ExcessSetting() Setting   { return gen.Excess() }
 
 // AllSettings lists every preset in evaluation order.

@@ -251,11 +251,12 @@ func BenchmarkKernels(b *testing.B) {
 			tensor.MatMulT2Into(gathered, wT2, dst)
 		}
 	})
-	b.Run(fmt.Sprintf("matmul-tanh-%dx%dx%d", e, m2, m), func(b *testing.B) {
+	b.Run(fmt.Sprintf("concat-matmul-tanh-%dx%dx%d", e, m2, m), func(b *testing.B) {
 		b.ReportAllocs()
 		dst := tensor.New(e, m)
+		none := tensor.New(e, 0)
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulTanhInto(gathered, w, dst)
+			tensor.ConcatMatMulTanhInto(gathered, 0, m2, none, w, dst)
 		}
 	})
 	b.Run(fmt.Sprintf("gather-matmul-add-tanh-%dx%dx%d", e, m2, m), func(b *testing.B) {

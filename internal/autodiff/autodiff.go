@@ -43,9 +43,6 @@ type Node struct {
 // Reset, so copy it if it must live longer.
 func (n *Node) Grad() *tensor.Matrix { return n.grad }
 
-// RequiresGrad reports whether gradients flow into this node.
-func (n *Node) RequiresGrad() bool { return n.reqG }
-
 // AddGradInto accumulates this node's gradient into dst (which must match
 // the node's shape) and reports whether a gradient was present. dst is
 // caller-owned: unlike Grad's return value it survives the next Reset or
@@ -72,27 +69,8 @@ type Tape struct {
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// NewTapeWithCapacity returns an empty tape pre-sized for n nodes, so the
-// node slice is never reallocated while recording up to n ops.
-func NewTapeWithCapacity(n int) *Tape {
-	return &Tape{nodes: make([]*Node, 0, n)}
-}
-
 // Len returns the number of recorded nodes (useful in tests).
 func (t *Tape) Len() int { return len(t.nodes) }
-
-// Cap returns the node-slice capacity (useful to verify slab retention).
-func (t *Tape) Cap() int { return cap(t.nodes) }
-
-// Reserve grows the node slice capacity to at least n so subsequent
-// recording does not reallocate it mid-step.
-func (t *Tape) Reserve(n int) {
-	if cap(t.nodes) < n {
-		grown := make([]*Node, len(t.nodes), n)
-		copy(grown, t.nodes)
-		t.nodes = grown
-	}
-}
 
 // Reset clears the tape for reuse: every tape-owned matrix (op outputs,
 // gradients, forward caches) returns to the arena and node structs move
@@ -430,29 +408,6 @@ func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 	})
 }
 
-// SegmentMean records per-segment row averaging into `segments` rows.
-func (t *Tape) SegmentMean(a *Node, seg []int, segments int) *Node {
-	v := tensor.SegmentMeanInto(a.Value, seg, segments, t.newVal(segments, a.Value.Cols))
-	counts := t.newScratch(1, segments)
-	counts.Zero()
-	for _, s := range seg {
-		counts.Data[s]++
-	}
-	return t.pushOwned(v, a.reqG, func(g *tensor.Matrix) {
-		d := tensor.Get(a.Value.Rows, a.Value.Cols)
-		for i, s := range seg {
-			inv := 1 / counts.Data[s]
-			drow := d.Row(i)
-			grow := g.Row(s)
-			for j, gv := range grow {
-				drow[j] = gv * inv
-			}
-		}
-		a.accum(d)
-		tensor.Put(d)
-	})
-}
-
 // Transpose records aᵀ.
 func (t *Tape) Transpose(a *Node) *Node {
 	src := a.Value
@@ -490,33 +445,6 @@ func (t *Tape) Sum(a *Node) *Node {
 func (t *Tape) Mean(a *Node) *Node {
 	n := float64(a.Value.Rows * a.Value.Cols)
 	return t.Scale(t.Sum(a), 1/n)
-}
-
-// MeanRows records column-wise mean over rows, producing a 1×cols vector.
-func (t *Tape) MeanRows(a *Node) *Node {
-	rows := a.Value.Rows
-	v := tensor.GetZeroed(1, a.Value.Cols)
-	for i := 0; i < rows; i++ {
-		row := a.Value.Row(i)
-		for j, x := range row {
-			v.Data[j] += x
-		}
-	}
-	inv := 1 / float64(rows)
-	for j := range v.Data {
-		v.Data[j] *= inv
-	}
-	return t.pushOwned(v, a.reqG, func(g *tensor.Matrix) {
-		d := tensor.Get(rows, a.Value.Cols)
-		for i := 0; i < rows; i++ {
-			drow := d.Row(i)
-			for j, gv := range g.Data {
-				drow[j] = gv * inv
-			}
-		}
-		a.accum(d)
-		tensor.Put(d)
-	})
 }
 
 // LogSoftmaxRows records a numerically stable row-wise log-softmax.
@@ -577,36 +505,5 @@ func (t *Tape) PickCols(a *Node, idx []int) *Node {
 		}
 		a.accum(d)
 		tensor.Put(d)
-	})
-}
-
-// ConcatRows records vertical concatenation of equal-width matrices.
-func (t *Tape) ConcatRows(ns ...*Node) *Node {
-	cols := ns[0].Value.Cols
-	rows := 0
-	req := false
-	for _, n := range ns {
-		if n.Value.Cols != cols {
-			panic("autodiff: concat-rows column mismatch")
-		}
-		rows += n.Value.Rows
-		req = req || n.reqG
-	}
-	v := t.newVal(rows, cols)
-	off := 0
-	for _, n := range ns {
-		copy(v.Data[off:off+len(n.Value.Data)], n.Value.Data)
-		off += len(n.Value.Data)
-	}
-	return t.pushOwned(v, req, func(g *tensor.Matrix) {
-		off := 0
-		for _, n := range ns {
-			sz := len(n.Value.Data)
-			if n.reqG {
-				// accum copies, so a borrowed view of g is safe here.
-				n.accum(tensor.FromSlice(n.Value.Rows, cols, g.Data[off:off+sz]))
-			}
-			off += sz
-		}
 	})
 }

@@ -112,9 +112,9 @@ func TestGradStructural(t *testing.T) {
 	checkGrad(t, "gather", a, func(tp *Tape, x *Node) *Node {
 		return tp.Sum(tp.Tanh(tp.GatherRows(x, idx)))
 	})
-	seg := []int{1, 0, 1, 0}
+	offs, members := buckets([]int{1, 0, 1, 0}, 2)
 	checkGrad(t, "segment-mean", a, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.Tanh(tp.SegmentMean(x, seg, 2)))
+		return tp.Sum(tp.Tanh(tp.SegmentMeanCSR(x, offs, members)))
 	})
 	b := randMat(rng, 4, 2)
 	checkGrad(t, "concat-cols", a, func(tp *Tape, x *Node) *Node {
@@ -125,10 +125,6 @@ func TestGradStructural(t *testing.T) {
 	})
 	checkGrad(t, "transpose", a, func(tp *Tape, x *Node) *Node {
 		return tp.Sum(tp.Tanh(tp.Transpose(x)))
-	})
-	c := randMat(rng, 2, 3)
-	checkGrad(t, "concat-rows", a, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.Tanh(tp.ConcatRows(x, tp.Const(c))))
 	})
 }
 
@@ -141,9 +137,6 @@ func TestGradRowOps(t *testing.T) {
 	})
 	checkGrad(t, "add-row-vector-bias", bias, func(tp *Tape, x *Node) *Node {
 		return tp.Sum(tp.Tanh(tp.AddRowVector(tp.Const(a), x)))
-	})
-	checkGrad(t, "mean-rows", a, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.Tanh(tp.MeanRows(x)))
 	})
 	checkGrad(t, "mean", a, func(tp *Tape, x *Node) *Node { return tp.Mean(tp.Tanh(x)) })
 }
@@ -167,10 +160,10 @@ func TestGradDeepComposition(t *testing.T) {
 	w := randMat(rng, 3, 3)
 	h := randMat(rng, 4, 3)
 	src := []int{0, 1, 2, 3, 0}
-	dst := []int{1, 2, 3, 0, 2}
+	offs, members := buckets([]int{1, 2, 3, 0, 2}, 4) // edges by destination
 	build := func(tp *Tape, x *Node) *Node {
 		msg := tp.Tanh(tp.MatMul(tp.GatherRows(tp.Const(h), src), x))
-		agg := tp.SegmentMean(msg, dst, 4)
+		agg := tp.SegmentMeanCSR(msg, offs, members)
 		cat := tp.ConcatCols(tp.Const(h), agg)
 		w2 := tp.Const(randFixed(6, 1))
 		p := tp.Sigmoid(tp.MatMul(cat, w2))
@@ -225,7 +218,7 @@ func TestConstReceivesNoGrad(t *testing.T) {
 	if c.Grad() != nil {
 		t.Fatal("const node accumulated a gradient")
 	}
-	if c.RequiresGrad() {
+	if c.reqG {
 		t.Fatal("const node requires grad")
 	}
 }

@@ -4,8 +4,8 @@
 // (and allocating the bucket arrays) on every forward pass, plus a fused
 // slice-concat-matmul-tanh op that updates one half of the node state
 // without materializing the sliced or concatenated intermediates on the
-// tape. Forward values are bit-identical to the unfused/seg-vector ops
-// they replace; gradients decompose into the same blocked kernels.
+// tape. Forward values are bit-identical to the unfused chains they
+// replace; gradients decompose into the same blocked kernels.
 package autodiff
 
 import (
@@ -17,8 +17,8 @@ import (
 // SegmentMeanCSR records per-bucket row averaging: out.Row(s) is the mean
 // of a's rows listed in members[offs[s]:offs[s+1]]. members must partition
 // a's rows (every row in exactly one bucket, ascending within a bucket),
-// which is what a graph incidence view provides. Unlike SegmentMean, no
-// per-call count scratch is needed — counts are implied by the offsets.
+// which is what a graph incidence view provides; bucket sizes come from
+// the offsets, so no per-call count scratch is needed.
 func (t *Tape) SegmentMeanCSR(a *Node, offs []int32, members []int) *Node {
 	if len(members) != a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: segment-mean-csr %d members for %d rows", len(members), a.Value.Rows))
@@ -46,12 +46,13 @@ func (t *Tape) SegmentMeanCSR(a *Node, offs []int32, members []int) *Node {
 	})
 }
 
-// GatherMatMulAddTanhCSR is GatherMatMulAddTanh with the backward scatter
-// driven by a prebuilt bucket structure over a's rows (offs has
-// a.Rows+1 entries; bucket r lists the positions e with idx[e] == r):
-// the forward pass is the identical fused kernel, and the gradient scatter
-// reuses the graph's incidence view instead of counting-sorting idx inside
-// every backward call.
+// GatherMatMulAddTanhCSR records tanh(gather(a, idx)·b + add) — one GNN
+// message transform — as a single tape entry; add may be nil to skip the
+// additive term (the edge-feature ablation). The gathered matrix is never
+// materialized. The backward scatter is driven by a prebuilt bucket
+// structure over a's rows (offs has a.Rows+1 entries; bucket r lists the
+// positions e with idx[e] == r), so it reuses the graph's incidence view
+// instead of counting-sorting idx inside every backward call.
 func (t *Tape) GatherMatMulAddTanhCSR(a *Node, idx []int, b, add *Node, offs []int32, members []int) *Node {
 	var addM *tensor.Matrix
 	req := anyGrad(a, b)
@@ -92,10 +93,11 @@ func (t *Tape) GatherMatMulAddTanhCSR(a *Node, idx []int, b, add *Node, offs []i
 // ConcatMatMulTanh records tanh(concat(x[:, lo:hi], y)·w) as one tape
 // entry — the next-state update of one GNN hop half. The column slice and
 // the concatenation are never materialized: the forward kernel assembles
-// each row in a worker-local scratch and feeds it to the same product
-// kernel MatMulTanh uses, so the value is bit-identical to the unfused
-// SliceCols → ConcatCols → MatMulTanh chain while three N-row tape
-// intermediates disappear. The backward pass rebuilds the concatenated
+// each row in a worker-local scratch and feeds it to the product-row
+// kernel of MatMul's unpacked path, so for weights below the packing
+// threshold the value is bit-identical to the unfused SliceCols →
+// ConcatCols → MatMul → Tanh chain while four N-row tape intermediates
+// disappear. The backward pass rebuilds the concatenated
 // operand once into transient arena scratch for the weight gradient.
 func (t *Tape) ConcatMatMulTanh(x *Node, lo, hi int, y, w *Node) *Node {
 	xv, yv, wv := x.Value, y.Value, w.Value

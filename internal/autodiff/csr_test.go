@@ -71,6 +71,56 @@ func TestGradConcatMatMulTanh(t *testing.T) {
 	})
 }
 
+// gatherMatMulAddTanhSeg is the seg-vector form of GatherMatMulAddTanhCSR:
+// the same fused forward kernel, with the backward scatter bucketing idx
+// on every call.
+func gatherMatMulAddTanhSeg(t *Tape, a *Node, idx []int, b, add *Node) *Node {
+	v := tensor.GatherMatMulAddTanhInto(a.Value, idx, b.Value, add.Value, t.newVal(len(idx), b.Value.Cols))
+	return t.pushOwned(v, true, func(g *tensor.Matrix) {
+		d := tensor.TanhGradInto(g, v, tensor.Get(g.Rows, g.Cols))
+		add.accum(d)
+		db := tensor.GatherMatMulT1Into(a.Value, idx, d, tensor.Get(a.Value.Cols, d.Cols))
+		b.accum(db)
+		dg := tensor.MatMulT2Into(d, b.Value, tensor.Get(d.Rows, b.Value.Rows))
+		ds := tensor.GetZeroed(a.Value.Rows, a.Value.Cols)
+		tensor.ScatterAddRowsPar(ds, dg, idx)
+		a.accum(ds)
+	})
+}
+
+// segmentMeanSeg is the seg-vector form of SegmentMeanCSR: row i of a is
+// averaged into segment seg[i], members summed in ascending row order.
+func segmentMeanSeg(t *Tape, a *Node, seg []int, segments int) *Node {
+	v := tensor.GetZeroed(segments, a.Value.Cols)
+	counts := make([]float64, segments)
+	for i, s := range seg {
+		counts[s]++
+		orow := v.Row(s)
+		for j, x := range a.Value.Row(i) {
+			orow[j] += x
+		}
+	}
+	for s, c := range counts {
+		if c > 0 {
+			inv := 1 / c
+			orow := v.Row(s)
+			for j := range orow {
+				orow[j] *= inv
+			}
+		}
+	}
+	return t.pushOwned(v, a.reqG, func(g *tensor.Matrix) {
+		d := tensor.Get(a.Value.Rows, a.Value.Cols)
+		for i, s := range seg {
+			inv := 1 / counts[s]
+			for j, gv := range g.Row(s) {
+				d.Row(i)[j] = gv * inv
+			}
+		}
+		a.accum(d)
+	})
+}
+
 // TestCSROpsBitMatchSegVectorOps pins the CSR tape ops against the
 // seg-vector ops they replace: identical forward bits and identical
 // gradient bits (the backward decomposition is the same arithmetic, fed by
@@ -98,8 +148,8 @@ func TestCSROpsBitMatchSegVectorOps(t *testing.T) {
 			msg = tp.GatherMatMulAddTanhCSR(hn, src, wn, tp.Const(add), srcOffs, srcMembers)
 			agg = tp.SegmentMeanCSR(msg, dstOffs, dstMembers)
 		} else {
-			msg = tp.GatherMatMulAddTanh(hn, src, wn, tp.Const(add))
-			agg = tp.SegmentMean(msg, dst, nodes)
+			msg = gatherMatMulAddTanhSeg(tp, hn, src, wn, tp.Const(add))
+			agg = segmentMeanSeg(tp, msg, dst, nodes)
 		}
 		tp.Backward(tp.Sum(agg), nil)
 		return agg.Value.Clone(), hn.Grad().Clone(), wn.Grad().Clone()
@@ -119,7 +169,7 @@ func TestCSROpsBitMatchSegVectorOps(t *testing.T) {
 }
 
 // TestConcatMatMulTanhMatchesChain pins the fused op against the
-// SliceCols → ConcatCols → MatMulTanh chain it replaces: bit-identical
+// SliceCols → ConcatCols → MatMul → Tanh chain it replaces: bit-identical
 // forward, rounding-identical gradients (the chain accumulates leaf
 // gradients in a different tape order).
 func TestConcatMatMulTanhMatchesChain(t *testing.T) {
@@ -135,7 +185,7 @@ func TestConcatMatMulTanhMatchesChain(t *testing.T) {
 		if fused {
 			out = tp.ConcatMatMulTanh(xn, 2, 5, yn, wn)
 		} else {
-			out = tp.MatMulTanh(tp.ConcatCols(tp.SliceCols(xn, 2, 5), yn), wn)
+			out = tp.Tanh(tp.MatMul(tp.ConcatCols(tp.SliceCols(xn, 2, 5), yn), wn))
 		}
 		tp.Backward(tp.Sum(out), nil)
 		return out.Value.Clone(), xn.Grad().Clone(), yn.Grad().Clone(), wn.Grad().Clone()

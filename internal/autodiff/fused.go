@@ -1,8 +1,7 @@
 // fused.go records fused tape ops: single tape entries for op chains that
-// the GNN encoder and the linear layers run on every step. Fusing cuts
-// both tape entries (fewer node structs, fewer backward closures) and
-// memory traffic (intermediates like the E×2M gathered neighbor matrix or
-// the transposed weight copy are never materialized). Each fused backward
+// the linear layers run on every step. Fusing cuts both tape entries
+// (fewer node structs, fewer backward closures) and memory traffic (the
+// transposed weight copy is never materialized). Each fused backward
 // decomposes into the same blocked tensor kernels the unfused ops use, so
 // gradients match the unfused composition to rounding.
 package autodiff
@@ -28,67 +27,6 @@ func (t *Tape) MatMulT2(a, b *Node) *Node {
 			b.accum(d)
 			tensor.Put(d)
 		}
-	})
-}
-
-// MatMulTanh records tanh(a·b) as one tape entry: the activation runs in
-// the kernel's store loop and the linear pre-activation is never stored.
-func (t *Tape) MatMulTanh(a, b *Node) *Node {
-	v := tensor.MatMulTanhInto(a.Value, b.Value, t.newVal(a.Value.Rows, b.Value.Cols))
-	return t.pushOwned(v, anyGrad(a, b), func(g *tensor.Matrix) {
-		d := tensor.TanhGradInto(g, v, tensor.Get(g.Rows, g.Cols)) // dZ = G ⊙ (1-y²)
-		if a.reqG {
-			da := tensor.MatMulT2Into(d, b.Value, tensor.Get(d.Rows, b.Value.Rows))
-			a.accum(da)
-			tensor.Put(da)
-		}
-		if b.reqG {
-			db := tensor.MatMulT1Into(a.Value, d, tensor.Get(a.Value.Cols, d.Cols))
-			b.accum(db)
-			tensor.Put(db)
-		}
-		tensor.Put(d)
-	})
-}
-
-// GatherMatMulAddTanh records tanh(gather(a, idx)·b + add) — one GNN
-// message transform — as a single tape entry. add may be nil to skip the
-// additive term (the edge-feature ablation). The gathered matrix is never
-// materialized in the forward pass: rows of a are read in place through
-// idx, and the weight gradient reads them the same way in the backward
-// pass.
-func (t *Tape) GatherMatMulAddTanh(a *Node, idx []int, b, add *Node) *Node {
-	var addM *tensor.Matrix
-	req := anyGrad(a, b)
-	if add != nil {
-		addM = add.Value
-		req = req || add.reqG
-	}
-	if len(idx) == 0 {
-		// Edgeless graph: a 0×cols result with no gradient flow, matching
-		// the unfused gather→matmul composition.
-		return t.pushOwned(t.newVal(0, b.Value.Cols), req, func(*tensor.Matrix) {})
-	}
-	v := tensor.GatherMatMulAddTanhInto(a.Value, idx, b.Value, addM, t.newVal(len(idx), b.Value.Cols))
-	return t.pushOwned(v, req, func(g *tensor.Matrix) {
-		d := tensor.TanhGradInto(g, v, tensor.Get(g.Rows, g.Cols))
-		if add != nil {
-			add.accum(d)
-		}
-		if b.reqG {
-			db := tensor.GatherMatMulT1Into(a.Value, idx, d, tensor.Get(a.Value.Cols, d.Cols))
-			b.accum(db)
-			tensor.Put(db)
-		}
-		if a.reqG {
-			dg := tensor.MatMulT2Into(d, b.Value, tensor.Get(d.Rows, b.Value.Rows)) // per-edge dH rows
-			ds := tensor.GetZeroed(a.Value.Rows, a.Value.Cols)
-			tensor.ScatterAddRowsPar(ds, dg, idx)
-			a.accum(ds)
-			tensor.Put(ds)
-			tensor.Put(dg)
-		}
-		tensor.Put(d)
 	})
 }
 

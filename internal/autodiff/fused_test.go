@@ -23,36 +23,35 @@ func TestGradMatMulT2(t *testing.T) {
 	})
 }
 
+// TestGradMatMulTanh checks tanh(a·b) through ConcatMatMulTanh with the
+// whole of a as the slice and a zero-width second operand.
 func TestGradMatMulTanh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randMat(rng, 3, 6)
 	b := randMat(rng, 6, 4)
+	none := tensor.New(3, 0)
 	checkGrad(t, "matmul-tanh-left", a, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.MatMulTanh(x, tp.Const(b)))
+		return tp.Sum(tp.ConcatMatMulTanh(x, 0, 6, tp.Const(none), tp.Const(b)))
 	})
 	checkGrad(t, "matmul-tanh-right", b, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.MatMulTanh(tp.Const(a), x))
+		return tp.Sum(tp.ConcatMatMulTanh(tp.Const(a), 0, 6, tp.Const(none), x))
 	})
 }
 
+// TestGradGatherMatMulAddTanh checks the message transform without its
+// additive term (the edge-feature ablation); TestGradGatherMatMulAddTanhCSR
+// covers the additive form.
 func TestGradGatherMatMulAddTanh(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	h := randMat(rng, 5, 6) // node embeddings
-	w := randMat(rng, 6, 3) // message transform
-	add := randMat(rng, 7, 3)
+	h := randMat(rng, 5, 6)           // node embeddings
+	w := randMat(rng, 6, 3)           // message transform
 	idx := []int{0, 2, 2, 4, 1, 0, 3} // repeated rows exercise scatter-add
-
-	checkGrad(t, "gather-matmul-add-tanh-h", h, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.GatherMatMulAddTanh(x, idx, tp.Const(w), tp.Const(add)))
-	})
-	checkGrad(t, "gather-matmul-add-tanh-w", w, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.GatherMatMulAddTanh(tp.Const(h), idx, x, tp.Const(add)))
-	})
-	checkGrad(t, "gather-matmul-add-tanh-add", add, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.GatherMatMulAddTanh(tp.Const(h), idx, tp.Const(w), x))
-	})
+	offs, members := buckets(idx, 5)
 	checkGrad(t, "gather-matmul-tanh-nil-add-h", h, func(tp *Tape, x *Node) *Node {
-		return tp.Sum(tp.GatherMatMulAddTanh(x, idx, tp.Const(w), nil))
+		return tp.Sum(tp.GatherMatMulAddTanhCSR(x, idx, tp.Const(w), nil, offs, members))
+	})
+	checkGrad(t, "gather-matmul-tanh-nil-add-w", w, func(tp *Tape, x *Node) *Node {
+		return tp.Sum(tp.GatherMatMulAddTanhCSR(tp.Const(h), idx, x, nil, offs, members))
 	})
 }
 
@@ -91,13 +90,14 @@ func TestFusedMatchesUnfusedComposition(t *testing.T) {
 	w := randMat(rng, 8, 4)
 	add := randMat(rng, 9, 4)
 	idx := []int{0, 5, 3, 3, 1, 2, 4, 0, 5}
+	offs, members := buckets(idx, 6)
 
 	run := func(fused bool) (*tensor.Matrix, *tensor.Matrix, *tensor.Matrix) {
 		tp := NewTape()
 		hn, wn := tp.Leaf(h), tp.Leaf(w)
 		var y *Node
 		if fused {
-			y = tp.GatherMatMulAddTanh(hn, idx, wn, tp.Const(add))
+			y = tp.GatherMatMulAddTanhCSR(hn, idx, wn, tp.Const(add), offs, members)
 		} else {
 			y = tp.Tanh(tp.Add(tp.MatMul(tp.GatherRows(hn, idx), wn), tp.Const(add)))
 		}
@@ -130,10 +130,11 @@ func TestFusedOpsDeterministic(t *testing.T) {
 	for i := range idx {
 		idx[i] = rng.Intn(40)
 	}
+	offs, members := buckets(idx, 40)
 	run := func() (*tensor.Matrix, *tensor.Matrix) {
 		tp := NewTape()
 		hn, wn := tp.Leaf(h), tp.Leaf(w)
-		root := tp.Sum(tp.MatMulTanh(tp.GatherMatMulAddTanh(hn, idx, wn, nil), tp.Transpose(wn)))
+		root := tp.Sum(tp.Tanh(tp.MatMulT2(tp.GatherMatMulAddTanhCSR(hn, idx, wn, nil, offs, members), wn)))
 		tp.Backward(root, nil)
 		return root.Value.Clone(), hn.Grad().Clone()
 	}

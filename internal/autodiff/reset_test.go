@@ -67,28 +67,17 @@ func TestTapeResetRetainsNodeSlab(t *testing.T) {
 	if tp.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", tp.Len())
 	}
-	capAfterWarm := tp.Cap()
+	capAfterWarm := cap(tp.nodes)
 	if capAfterWarm < n {
 		t.Fatalf("Cap %d < warm node count %d", capAfterWarm, n)
 	}
 	// A reused tape rebuilding the same graph must not regrow its slab.
 	for i := 0; i < 5; i++ {
 		build()
-		if tp.Cap() != capAfterWarm {
-			t.Fatalf("tape slab regrew on reuse: cap %d → %d", capAfterWarm, tp.Cap())
+		if cap(tp.nodes) != capAfterWarm {
+			t.Fatalf("tape slab regrew on reuse: cap %d → %d", capAfterWarm, cap(tp.nodes))
 		}
 		tp.Reset()
-	}
-}
-
-func TestTapeReserve(t *testing.T) {
-	tp := NewTapeWithCapacity(32)
-	if tp.Cap() < 32 {
-		t.Fatalf("NewTapeWithCapacity(32) cap %d", tp.Cap())
-	}
-	tp.Reserve(100)
-	if tp.Cap() < 100 {
-		t.Fatalf("Reserve(100) cap %d", tp.Cap())
 	}
 }
 

@@ -1,12 +1,13 @@
-// infer.go is the model's tape-free forward pass for serving: the same
-// merge probabilities EdgeProbs records on the autodiff tape, computed
-// directly over the fused tensor kernels with scratch from a pooled
-// tensor.Scope. Every product row is computed by the same kernel, from
-// the same operands, as its tape twin — including the materialized
-// transposed projection copies that the tape's MatMul∘Transpose pairs
-// produce — so for identical parameter values the output is bit-identical
-// to the training path. That is what makes "served placement == offline
-// CoarsenAllocate placement" a testable claim.
+// infer.go is the model's one inference forward pass, used by Probs
+// (offline allocation, evaluation, multilevel coarsening) and by the
+// serving daemon alike: the merge probabilities EdgeProbs records on the
+// autodiff tape, computed directly over the fused tensor kernels with
+// scratch from a pooled tensor.Scope. Every product row is computed by
+// the same kernel, from the same operands, as its tape twin — including
+// the materialized transposed projection copies that the tape's
+// MatMul∘Transpose pairs produce — so for identical parameter values the
+// output is bit-identical to the training path (TestInferProbsBitIdentical
+// pins this). The tape forward itself is only recorded by training.
 package core
 
 import (
@@ -14,8 +15,6 @@ import (
 
 	"repro/internal/gnn"
 	"repro/internal/nn"
-	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/tensor"
 )
 
@@ -74,10 +73,4 @@ func (mo *Model) InferProbsInto(r nn.ValueReader, f *gnn.Features, out []float64
 	p := mo.head.Infer(sc, r, hEdge) // E×1, sigmoid
 	copy(out, p.Data)
 	return out
-}
-
-// InferProbs is the feature-building convenience over InferProbsInto.
-func (mo *Model) InferProbs(g *stream.Graph, c sim.Cluster, r nn.ValueReader) []float64 {
-	f := gnn.BuildFeatures(g, c)
-	return mo.InferProbsInto(r, f, make([]float64, g.NumEdges()))
 }

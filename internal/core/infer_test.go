@@ -5,11 +5,28 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/autodiff"
 	"repro/internal/gen"
+	"repro/internal/gnn"
 	"repro/internal/nn"
 	"repro/internal/placer"
 	"repro/internal/sim"
+	"repro/internal/stream"
 )
+
+// tapeProbs records the training-path forward (EdgeProbs) on a fresh
+// binder and returns its merge probabilities.
+func tapeProbs(mo *Model, g *stream.Graph, c sim.Cluster) []float64 {
+	p := mo.EdgeProbs(nn.NewBinder(autodiff.NewTape()), gnn.BuildFeatures(g, c))
+	out := make([]float64, g.NumEdges())
+	copy(out, p.Value.Data)
+	return out
+}
+
+// inferProbs runs the zero-tape forward with parameters read through r.
+func inferProbs(mo *Model, g *stream.Graph, c sim.Cluster, r nn.ValueReader) []float64 {
+	return mo.InferProbsInto(r, gnn.BuildFeatures(g, c), make([]float64, g.NumEdges()))
+}
 
 // TestInferProbsBitIdentical pins the serving contract: the tape-free
 // forward pass must produce bit-for-bit the same merge probabilities as
@@ -28,9 +45,9 @@ func TestInferProbsBitIdentical(t *testing.T) {
 			mo := New(cfg)
 			snap := nn.NewSnapshot(mo.PS)
 			for gi, g := range graphs {
-				want := mo.Probs(g, s.Cluster)
-				gotLive := mo.InferProbs(g, s.Cluster, nn.LiveValues{})
-				gotSnap := mo.InferProbs(g, s.Cluster, snap)
+				want := tapeProbs(mo, g, s.Cluster)
+				gotLive := inferProbs(mo, g, s.Cluster, nn.LiveValues{})
+				gotSnap := inferProbs(mo, g, s.Cluster, snap)
 				if len(want) != len(gotLive) || len(want) != len(gotSnap) {
 					t.Fatalf("%s graph %d: length mismatch %d/%d/%d",
 						s.Name, gi, len(want), len(gotLive), len(gotSnap))
@@ -50,6 +67,41 @@ func TestInferProbsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestProbsMatchesTapeOnTinyGraphs pins Probs against the tape forward on
+// the degenerate graphs multilevel coarsening can shrink to: edgeless
+// graphs of one and three operators, and a single edge.
+func TestProbsMatchesTapeOnTinyGraphs(t *testing.T) {
+	c := sim.DefaultCluster(2, 1000)
+	chain := func(n, edges int) *stream.Graph {
+		g := stream.NewGraph(1000)
+		for i := 0; i < n; i++ {
+			g.AddNode(stream.Node{IPT: float64(10 * (i + 1)), Payload: 64})
+		}
+		for i := 0; i < edges; i++ {
+			g.AddEdge(i, i+1, 0)
+		}
+		return g
+	}
+	graphs := map[string]*stream.Graph{
+		"one-node":   chain(1, 0),
+		"three-node": chain(3, 0),
+		"one-edge":   chain(2, 1),
+	}
+	mo := New(DefaultConfig())
+	for name, g := range graphs {
+		want := tapeProbs(mo, g, c)
+		got := mo.Probs(g, c)
+		if len(got) != g.NumEdges() || len(want) != len(got) {
+			t.Fatalf("%s: Probs length %d, tape %d, edges %d", name, len(got), len(want), g.NumEdges())
+		}
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s edge %d: tape %v, Probs %v", name, i, want[i], got[i])
+			}
+		}
+	}
+}
+
 // TestInferProbsAcrossGOMAXPROCS pins that the tape-free path is
 // bit-identical whether the blocked kernels run serial or parallel.
 func TestInferProbsAcrossGOMAXPROCS(t *testing.T) {
@@ -58,9 +110,9 @@ func TestInferProbsAcrossGOMAXPROCS(t *testing.T) {
 	mo := New(DefaultConfig())
 
 	prev := runtime.GOMAXPROCS(1)
-	one := mo.InferProbs(g, s.Cluster, nn.LiveValues{})
+	one := inferProbs(mo, g, s.Cluster, nn.LiveValues{})
 	runtime.GOMAXPROCS(prev)
-	many := mo.InferProbs(g, s.Cluster, nn.LiveValues{})
+	many := inferProbs(mo, g, s.Cluster, nn.LiveValues{})
 	for i := range one {
 		if math.Float64bits(one[i]) != math.Float64bits(many[i]) {
 			t.Fatalf("edge %d: GOMAXPROCS=1 %v, GOMAXPROCS=%d %v", i, one[i], prev, many[i])
@@ -77,7 +129,7 @@ func TestAllocateRankedOnInferProbs(t *testing.T) {
 	snap := nn.NewSnapshot(pl.Model.PS)
 	for gi, g := range s.Generate().Test[:4] {
 		offline := pl.Allocate(g, s.Cluster)
-		served := pl.AllocateRanked(g, s.Cluster, pl.Model.InferProbs(g, s.Cluster, snap))
+		served := pl.AllocateRanked(g, s.Cluster, inferProbs(pl.Model, g, s.Cluster, snap))
 		if len(offline.Placement.Assign) != len(served.Placement.Assign) {
 			t.Fatalf("graph %d: assign length mismatch", gi)
 		}

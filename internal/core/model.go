@@ -14,7 +14,6 @@ package core
 import (
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/autodiff"
 	"repro/internal/gnn"
@@ -119,7 +118,9 @@ func New(cfg Config) *Model {
 }
 
 // EdgeProbs records the full forward pass on the binder's tape and returns
-// the E×1 vector of merge probabilities.
+// the E×1 vector of merge probabilities. Only training records it, for
+// the gradients; inference runs the bit-identical zero-tape pass (Probs,
+// InferProbsInto).
 func (mo *Model) EdgeProbs(b *nn.Binder, f *gnn.Features) *autodiff.Node {
 	t := b.Tape
 	h := mo.Enc.Encode(b, f) // N×2M
@@ -137,26 +138,12 @@ func (mo *Model) EdgeProbs(b *nn.Binder, f *gnn.Features) *autodiff.Node {
 	return mo.head.Apply(b, hEdge) // E×1, sigmoid
 }
 
-// fwdPool recycles binder+tape pairs across inference forward passes, so
-// repeated Probs calls (the allocation hot path of Pipeline.Allocate and
-// batch evaluation) reuse the node slab and arena-backed matrices instead
-// of rebuilding the tape from nothing. sync.Pool keeps this safe under
-// the parallel evaluation fan-out: each goroutine drives its own binder.
-var fwdPool = sync.Pool{
-	New: func() any { return nn.NewBinder(autodiff.NewTape()) },
-}
-
-// Probs computes merge probabilities outside any training loop (the
-// forward tape is pooled and recycled).
+// Probs computes merge probabilities outside any training loop. It runs
+// the zero-tape forward pass (InferProbsInto) on the live parameters: the
+// one inference forward, shared by offline allocation and serving.
 func (mo *Model) Probs(g *stream.Graph, c sim.Cluster) []float64 {
 	f := gnn.BuildFeatures(g, c)
-	b := fwdPool.Get().(*nn.Binder)
-	b.Reset() // reclaim the previous forward pass's matrices
-	p := mo.EdgeProbs(b, f)
-	out := make([]float64, g.NumEdges())
-	copy(out, p.Value.Data)
-	fwdPool.Put(b)
-	return out
+	return mo.InferProbsInto(nn.LiveValues{}, f, make([]float64, g.NumEdges()))
 }
 
 // Decision is a per-edge collapse decision vector.
@@ -170,30 +157,6 @@ func (mo *Model) Greedy(g *stream.Graph, c sim.Cluster) Decision {
 		d[i] = p >= 0.5
 	}
 	return d
-}
-
-// Sample draws Bernoulli decisions from the merge probabilities.
-func (mo *Model) Sample(g *stream.Graph, c sim.Cluster, rng *rand.Rand) Decision {
-	probs := mo.Probs(g, c)
-	d := make(Decision, len(probs))
-	for i, p := range probs {
-		d[i] = rng.Float64() < p
-	}
-	return d
-}
-
-// SampleN draws n decision vectors from a single forward pass.
-func (mo *Model) SampleN(g *stream.Graph, c sim.Cluster, rng *rand.Rand, n int) []Decision {
-	probs := mo.Probs(g, c)
-	out := make([]Decision, n)
-	for s := 0; s < n; s++ {
-		d := make(Decision, len(probs))
-		for i, p := range probs {
-			d[i] = rng.Float64() < p
-		}
-		out[s] = d
-	}
-	return out
 }
 
 // LogProb records Σ_e [d_e·log p_e + (1−d_e)·log(1−p_e)] weighted by a

@@ -62,26 +62,23 @@ func TestGreedyMatchesProbsThreshold(t *testing.T) {
 	}
 }
 
+// sampleDecision draws Bernoulli collapse decisions from merge
+// probabilities, the way training samples them.
+func sampleDecision(probs []float64, rng *rand.Rand) Decision {
+	d := make(Decision, len(probs))
+	for i, p := range probs {
+		d[i] = rng.Float64() < p
+	}
+	return d
+}
+
 func TestSampleDeterministicGivenSeed(t *testing.T) {
 	g, c, m := testSetup(t)
-	d1 := m.Sample(g, c, rand.New(rand.NewSource(5)))
-	d2 := m.Sample(g, c, rand.New(rand.NewSource(5)))
+	d1 := sampleDecision(m.Probs(g, c), rand.New(rand.NewSource(5)))
+	d2 := sampleDecision(m.Probs(g, c), rand.New(rand.NewSource(5)))
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatal("sampling not reproducible")
-		}
-	}
-}
-
-func TestSampleNCount(t *testing.T) {
-	g, c, m := testSetup(t)
-	ds := m.SampleN(g, c, rand.New(rand.NewSource(6)), 4)
-	if len(ds) != 4 {
-		t.Fatalf("got %d samples", len(ds))
-	}
-	for _, d := range ds {
-		if len(d) != g.NumEdges() {
-			t.Fatal("decision length mismatch")
 		}
 	}
 }
@@ -90,7 +87,7 @@ func TestLogProbLossGradientDirection(t *testing.T) {
 	// With positive advantage, a gradient step must increase the
 	// probability of the sampled decisions.
 	g, c, m := testSetup(t)
-	d := m.Sample(g, c, rand.New(rand.NewSource(7)))
+	d := sampleDecision(m.Probs(g, c), rand.New(rand.NewSource(7)))
 	before := m.Probs(g, c)
 
 	f := gnn.BuildFeatures(g, c)
@@ -147,7 +144,7 @@ func equalFloats(a, b []float64) bool {
 func TestAllocateDecisionRoundTrip(t *testing.T) {
 	g, c, m := testSetup(t)
 	pipe := &Pipeline{Model: m, Placer: placer.Metis{Seed: 1}}
-	d := m.Sample(g, c, rand.New(rand.NewSource(8)))
+	d := sampleDecision(m.Probs(g, c), rand.New(rand.NewSource(8)))
 	a := pipe.AllocateDecision(g, c, d)
 	if err := a.Placement.Validate(g); err != nil {
 		t.Fatal(err)

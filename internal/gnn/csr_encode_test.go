@@ -34,12 +34,13 @@ func randFeatures(rng *rand.Rand, nodes, edges, isolated int) *Features {
 	return &Features{Node: nf, Edge: ef, Src: src, Dst: dst}
 }
 
-// preCSREncode is the encode composition this PR replaced: per-call
-// bucketing seg-vector ops plus explicit slice/concat tape entries. The
-// CSR-native Encode must reproduce its forward bits exactly.
+// preCSREncode is the encode composition with explicit slice, concat,
+// product and activation tape entries in place of the fused
+// ConcatMatMulTanh. The fused Encode and the zero-tape EncodeInfer must
+// reproduce its forward bits exactly.
 func preCSREncode(b *nn.Binder, e *Encoder, f *Features) *autodiff.Node {
 	t := b.Tape
-	n := f.Node.Rows
+	f.EnsureCSR()
 	h := e.In.ApplyTanh(b, t.Const(f.Node))
 
 	w1T := t.Transpose(b.Node(e.W1))
@@ -55,13 +56,13 @@ func preCSREncode(b *nn.Binder, e *Encoder, f *Features) *autodiff.Node {
 		hup := t.SliceCols(h, 0, e.M)
 		hdown := t.SliceCols(h, e.M, 2*e.M)
 
-		msgIn := t.GatherMatMulAddTanh(h, f.Src, w1T, efUp)
-		aggIn := t.SegmentMean(msgIn, f.Dst, n)
-		msgOut := t.GatherMatMulAddTanh(h, f.Dst, w1T, efDown)
-		aggOut := t.SegmentMean(msgOut, f.Src, n)
+		msgIn := t.GatherMatMulAddTanhCSR(h, f.Src, w1T, efUp, f.OutOff, f.OutEdge)
+		aggIn := t.SegmentMeanCSR(msgIn, f.InOff, f.InEdge)
+		msgOut := t.GatherMatMulAddTanhCSR(h, f.Dst, w1T, efDown, f.InOff, f.InEdge)
+		aggOut := t.SegmentMeanCSR(msgOut, f.OutOff, f.OutEdge)
 
-		nextUp := t.MatMulTanh(t.ConcatCols(hup, aggIn), w2T)
-		nextDown := t.MatMulTanh(t.ConcatCols(hdown, aggOut), w2T)
+		nextUp := t.Tanh(t.MatMul(t.ConcatCols(hup, aggIn), w2T))
+		nextDown := t.Tanh(t.MatMul(t.ConcatCols(hdown, aggOut), w2T))
 		h = t.ConcatCols(nextUp, nextDown)
 	}
 	return h

@@ -10,6 +10,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/stream"
+	"repro/internal/tensor"
 )
 
 func testGraph() (*stream.Graph, sim.Cluster) {
@@ -158,7 +159,7 @@ func TestEncodeGradientsReachAllParams(t *testing.T) {
 	tape.Backward(tape.Sum(tape.Tanh(h)), nil)
 	b.Collect()
 	for _, p := range ps.All() {
-		if p.Grad.MaxAbs() == 0 {
+		if tensor.Equal(p.Grad, tensor.New(p.Grad.Rows, p.Grad.Cols), 0) {
 			t.Fatalf("parameter %s received no gradient", p.Name)
 		}
 	}
@@ -206,7 +207,7 @@ func TestEncodeOnCoarseGraphWithOverrides(t *testing.T) {
 // match it — values and parameter gradients — to rounding.
 func referenceEncode(b *nn.Binder, e *Encoder, f *Features) *autodiff.Node {
 	t := b.Tape
-	n := f.Node.Rows
+	f.EnsureCSR()
 	x := t.Const(f.Node)
 	h := t.Tanh(t.AddRowVector(t.MatMul(x, t.Transpose(b.Node(e.In.W))), b.Node(e.In.B)))
 
@@ -224,13 +225,13 @@ func referenceEncode(b *nn.Binder, e *Encoder, f *Features) *autodiff.Node {
 		if e.UseEdgeFeatures {
 			msgIn = t.Add(msgIn, t.MatMul(ef, weUpT))
 		}
-		aggIn := t.SegmentMean(t.Tanh(msgIn), f.Dst, n)
+		aggIn := t.SegmentMeanCSR(t.Tanh(msgIn), f.InOff, f.InEdge)
 
 		msgOut := t.MatMul(t.GatherRows(h, f.Dst), w1T)
 		if e.UseEdgeFeatures {
 			msgOut = t.Add(msgOut, t.MatMul(ef, weDownT))
 		}
-		aggOut := t.SegmentMean(t.Tanh(msgOut), f.Src, n)
+		aggOut := t.SegmentMeanCSR(t.Tanh(msgOut), f.OutOff, f.OutEdge)
 
 		nextUp := t.Tanh(t.MatMul(t.ConcatCols(hup, aggIn), w2T))
 		nextDown := t.Tanh(t.MatMul(t.ConcatCols(hdown, aggOut), w2T))

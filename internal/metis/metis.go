@@ -402,18 +402,6 @@ func refine(g *wgraph, part []int, opts Options, rng *rand.Rand) {
 	}
 }
 
-// Cut returns the total weight of edges crossing parts under the placement.
-func Cut(g *stream.Graph, p *stream.Placement) float64 {
-	traffic := g.EdgeTraffic()
-	var cut float64
-	for ei, e := range g.Edges {
-		if p.Assign[e.Src] != p.Assign[e.Dst] {
-			cut += traffic[ei]
-		}
-	}
-	return cut
-}
-
 // Oracle sweeps the number of parts from 1 to cluster.Devices, partitions
 // for each, simulates, and returns the best placement with its part count
 // (the paper's Metis-Oracle baseline for the excess-device setting).

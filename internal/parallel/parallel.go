@@ -134,8 +134,8 @@ type chunkJob struct {
 	wg    sync.WaitGroup
 }
 
-// bounds returns chunk p of the job's [0, n) split — identical to
-// ChunkRanges(n, parts)[p].
+// bounds returns chunk p of the job's [0, n) split: the first n%parts
+// chunks hold one extra index.
 func (j *chunkJob) bounds(p int) (int, int) {
 	lo := p * j.base
 	if p < j.rem {
@@ -189,10 +189,9 @@ func startChunkWorkers() {
 }
 
 // RunChunks invokes fn(lo, hi) over a split of [0, n) into at most parts
-// near-equal contiguous ranges (the same bounds ChunkRanges produces), on
-// a persistent worker pool. Unlike ChunkRanges+ForEach, the steady-state
-// dispatch performs no allocation beyond fn itself: no range slice, no
-// per-call goroutines. The caller always participates, and helpers are
+// near-equal contiguous ranges, on a persistent worker pool. The
+// steady-state dispatch performs no allocation beyond fn itself: no range
+// slice, no per-call goroutines. The caller always participates, and helpers are
 // claimed only via non-blocking hand-off to idle pool workers, so a busy
 // pool degrades to the caller doing more chunks — never to blocking on
 // unrelated work. Chunk bounds are independent of who executes them, so
@@ -234,30 +233,6 @@ claim:
 	j.wg.Wait()
 	j.fn = nil
 	chunkPool.Put(j)
-}
-
-// ChunkRanges splits [0, n) into at most parts contiguous half-open ranges
-// of near-equal size. Useful for row-blocked matrix kernels.
-func ChunkRanges(n, parts int) [][2]int {
-	if n <= 0 || parts <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	base := n / parts
-	rem := n % parts
-	start := 0
-	for p := 0; p < parts; p++ {
-		size := base
-		if p < rem {
-			size++
-		}
-		out = append(out, [2]int{start, start + size})
-		start += size
-	}
-	return out
 }
 
 // Reduce applies fn to each index in parallel and folds the results with

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,11 +115,34 @@ func TestReduce(t *testing.T) {
 	}
 }
 
+// runChunkRanges collects the ranges RunChunks hands to fn, in order.
+func runChunkRanges(n, parts int) [][2]int {
+	var mu sync.Mutex
+	var out [][2]int
+	RunChunks(n, parts, func(lo, hi int) {
+		mu.Lock()
+		out = append(out, [2]int{lo, hi})
+		mu.Unlock()
+	})
+	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
+	return out
+}
+
 func TestChunkRangesPartition(t *testing.T) {
 	f := func(n, parts uint8) bool {
-		chunks := ChunkRanges(int(n), int(parts))
-		if n == 0 || parts == 0 {
+		chunks := runChunkRanges(int(n), int(parts))
+		if n == 0 {
 			return chunks == nil
+		}
+		want := int(parts)
+		if parts == 0 {
+			want = DefaultWorkers()
+		}
+		if want > int(n) {
+			want = int(n)
+		}
+		if len(chunks) != want {
+			return false
 		}
 		// Chunks must tile [0,n) exactly, in order, non-empty.
 		next := 0
@@ -136,7 +160,7 @@ func TestChunkRangesPartition(t *testing.T) {
 }
 
 func TestChunkRangesBalance(t *testing.T) {
-	chunks := ChunkRanges(10, 3)
+	chunks := runChunkRanges(10, 3)
 	if len(chunks) != 3 {
 		t.Fatalf("len = %d", len(chunks))
 	}
@@ -152,28 +176,32 @@ func TestDefaultWorkersPositive(t *testing.T) {
 	}
 }
 
+// TestRunChunksMatchesChunkRanges pins RunChunks to the near-equal split:
+// chunk p spans n/parts indices, plus one for the first n%parts chunks,
+// and every index is covered exactly once.
 func TestRunChunksMatchesChunkRanges(t *testing.T) {
 	for _, tc := range [][2]int{{10, 3}, {7, 7}, {100, 8}, {1, 4}, {5, 1}, {16, 16}} {
 		n, parts := tc[0], tc[1]
-		want := make([]int, n)
-		for _, r := range ChunkRanges(n, parts) {
-			for i := r[0]; i < r[1]; i++ {
-				want[i]++
-			}
+		if parts > n {
+			parts = n
 		}
-		got := make([]int32, n)
-		RunChunks(n, parts, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("RunChunks(%d,%d): bad range [%d,%d)", n, parts, lo, hi)
+		got := runChunkRanges(n, parts)
+		if len(got) != parts {
+			t.Fatalf("RunChunks(%d,%d): %d chunks", n, parts, len(got))
+		}
+		lo := 0
+		for p, r := range got {
+			size := n / parts
+			if p < n%parts {
+				size++
 			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&got[i], 1)
+			if r != [2]int{lo, lo + size} {
+				t.Fatalf("RunChunks(%d,%d): chunk %d = %v, want [%d,%d)", n, parts, p, r, lo, lo+size)
 			}
-		})
-		for i := range want {
-			if want[i] != 1 || int(got[i]) != 1 {
-				t.Fatalf("RunChunks(%d,%d): index %d covered %d times (ChunkRanges %d)", n, parts, i, got[i], want[i])
-			}
+			lo += size
+		}
+		if lo != n {
+			t.Fatalf("RunChunks(%d,%d): chunks end at %d", n, parts, lo)
 		}
 	}
 }

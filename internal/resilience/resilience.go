@@ -110,12 +110,6 @@ type RetryConfig struct {
 	sleep func(time.Duration)
 }
 
-// DefaultRetry retries 4 times starting at 50 ms with full doubling and
-// 20% jitter.
-func DefaultRetry() RetryConfig {
-	return RetryConfig{Attempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.2}
-}
-
 var jitterMu sync.Mutex
 var jitterRNG = rand.New(rand.NewSource(1))
 

@@ -992,15 +992,6 @@ func Evaluate(pipe *core.Pipeline, graphs []*stream.Graph, cluster sim.Cluster) 
 	})
 }
 
-// EvaluateGreedy runs pure threshold-0.5 inference on every graph (used by
-// inference-mode ablations).
-func EvaluateGreedy(pipe *core.Pipeline, graphs []*stream.Graph, cluster sim.Cluster) []float64 {
-	return evalWith(graphs, func(i int) float64 {
-		alloc := pipe.AllocateGreedy(graphs[i], cluster)
-		return sim.Reward(graphs[i], alloc.Placement, cluster)
-	})
-}
-
 // evalWith scores every graph in parallel with panic isolation. A panic
 // in one worker no longer kills sibling scorings mid-flight; once all
 // graphs are attempted the recovered panic (with its stack) is re-raised

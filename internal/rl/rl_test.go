@@ -106,9 +106,13 @@ func TestEvaluateNeverWorseThanMetisMean(t *testing.T) {
 	}
 }
 
+// TestEvaluateGreedyValidRange runs threshold-0.5 inference through the
+// evaluation fan-out.
 func TestEvaluateGreedyValidRange(t *testing.T) {
 	ds, _, pipe := quickSetup(t, 1)
-	vals := EvaluateGreedy(pipe, ds.Test, ds.Cluster)
+	vals := evalWith(ds.Test, func(i int) float64 {
+		return sim.Reward(ds.Test[i], pipe.AllocateGreedy(ds.Test[i], ds.Cluster).Placement, ds.Cluster)
+	})
 	for _, v := range vals {
 		if v <= 0 || v > 1 {
 			t.Fatalf("reward %g out of range", v)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -535,18 +534,6 @@ func coarseFromUF(g *Graph, uf *unionFind) *CoarseMap {
 		super[v] = rootID[r] - 1
 	}
 	return &CoarseMap{Super: super, NumSuper: next}
-}
-
-// Members returns, for each super-node, the sorted original node indices.
-func (cm *CoarseMap) Members() [][]int {
-	m := make([][]int, cm.NumSuper)
-	for v, s := range cm.Super {
-		m[s] = append(m[s], v)
-	}
-	for _, grp := range m {
-		sort.Ints(grp)
-	}
-	return m
 }
 
 // CompressionRatio returns |V| / |V_coarse|.

@@ -249,24 +249,6 @@ func TestExpandPlacement(t *testing.T) {
 	}
 }
 
-func TestMembersSortedAndComplete(t *testing.T) {
-	g := chain(5, 100)
-	cm := CollapseEdges(g, []bool{false, true, true, false})
-	members := cm.Members()
-	total := 0
-	for _, grp := range members {
-		total += len(grp)
-		for i := 1; i < len(grp); i++ {
-			if grp[i] <= grp[i-1] {
-				t.Fatal("members not sorted")
-			}
-		}
-	}
-	if total != 5 {
-		t.Fatalf("member total = %d", total)
-	}
-}
-
 // Property: for random graphs and random collapse decisions, the coarse
 // graph conserves total CPU demand, and every super id is in range.
 func TestQuickCoarseningConservation(t *testing.T) {

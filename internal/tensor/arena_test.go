@@ -222,7 +222,8 @@ func TestSegmentMeanParallelMatchesSerial(t *testing.T) {
 	for i := range seg {
 		seg[i] = rng.Intn(segments - 1) // segment 16 stays empty
 	}
-	got := SegmentMeanInto(a, seg, segments, Get(segments, cols))
+	offs, members := segBuckets(seg, segments)
+	got := SegmentMeanCSRInto(a, offs, members, Get(segments, cols))
 	// Reference: ascending-row accumulation then one multiply by 1/count —
 	// the exact order both the serial and parallel kernels use.
 	want := New(segments, cols)
@@ -242,7 +243,7 @@ func TestSegmentMeanParallelMatchesSerial(t *testing.T) {
 			want.Data[s*cols+j] *= inv
 		}
 	}
-	mustEqual(t, "SegmentMeanInto parallel", got, want)
+	mustEqual(t, "SegmentMeanCSRInto parallel", got, want)
 	for j := 0; j < cols; j++ {
 		if got.Data[16*cols+j] != 0 {
 			t.Fatal("empty segment not zeroed")

@@ -1,5 +1,5 @@
-// csr.go holds the CSR-native segment kernels: variants of SegmentMean /
-// ScatterAddRows that take a prebuilt bucket structure (offsets + member
+// csr.go holds the CSR-native segment kernels: segment means and
+// ScatterAddRows variants that take a prebuilt bucket structure (offsets + member
 // row ids, as produced by stream.Graph.Adjacency or bucketByKey) instead
 // of re-bucketing a segment-id vector on every call, plus the fused
 // gather-activate-mean kernel the zero-tape inference path uses so the
@@ -7,8 +7,8 @@
 //
 // Determinism contract (see kernels.go): members inside one bucket must be
 // ascending, matching the order bucketByKey produces. Each bucket then
-// accumulates in exactly the order the seg-vector kernels use, so every
-// CSR kernel is bit-identical to its seg-vector twin at any GOMAXPROCS.
+// accumulates in ascending row order, so every CSR kernel is
+// bit-identical to the serial seg-vector computation at any GOMAXPROCS.
 package tensor
 
 import (
@@ -35,10 +35,8 @@ func checkCSR(op string, offs []int32, members []int, rows int) {
 
 // SegmentMeanCSRInto averages rows of a per bucket into dst
 // ((len(offs)-1)×a.Cols): dst.Row(s) is the mean of a.Row(i) over i in
-// members[offs[s]:offs[s+1]], zero for empty buckets. With buckets built
-// from the same segment vector, the result is bit-identical to
-// SegmentMeanInto — but the bucketing happens once per graph instead of
-// once per call.
+// members[offs[s]:offs[s+1]], zero for empty buckets: members are summed
+// in bucket order, then scaled once by 1/count.
 func SegmentMeanCSRInto(a *Matrix, offs []int32, members []int, dst *Matrix) *Matrix {
 	segments := len(offs) - 1
 	mustShape("segment-mean-csr dst", dst, segments, a.Cols)

@@ -94,77 +94,6 @@ func GatherRowsInto(a *Matrix, idx []int, dst *Matrix) *Matrix {
 	return dst
 }
 
-// SegmentMeanInto averages the rows of a per segment id into dst
-// (segments×a.Cols) and returns dst. Large inputs are parallelized over
-// segment blocks: every dst row is owned by one worker and members are
-// accumulated in ascending row order, so the result is bit-identical to
-// the serial kernel.
-func SegmentMeanInto(a *Matrix, seg []int, segments int, dst *Matrix) *Matrix {
-	if len(seg) != a.Rows {
-		panic("tensor: segment-mean index length mismatch")
-	}
-	mustShape("segment-mean dst", dst, segments, a.Cols)
-	for _, s := range seg {
-		if s < 0 || s >= segments {
-			panic(fmt.Sprintf("tensor: segment id %d out of range [0,%d)", s, segments))
-		}
-	}
-	if a.Rows*a.Cols < parallelThreshold {
-		dst.Zero()
-		counts := Get(1, segments)
-		cd := counts.Data
-		for i := range cd {
-			cd[i] = 0
-		}
-		for i, s := range seg {
-			cd[s]++
-			orow := dst.Row(s)
-			arow := a.Row(i)
-			for j, v := range arow {
-				orow[j] += v
-			}
-		}
-		for s := 0; s < segments; s++ {
-			if cd[s] == 0 {
-				continue
-			}
-			inv := 1 / cd[s]
-			orow := dst.Row(s)
-			for j := range orow {
-				orow[j] *= inv
-			}
-		}
-		Put(counts)
-		return dst
-	}
-	// Parallel path: bucket member rows per segment (counting sort keeps
-	// them in ascending row order), then fan out over segment blocks.
-	offs, members := bucketByKey(seg, segments)
-	parallel.RunChunks(segments, parallel.DefaultWorkers(), func(clo, chi int) {
-		for s := clo; s < chi; s++ {
-			orow := dst.Row(s)
-			for j := range orow {
-				orow[j] = 0
-			}
-			lo, hi := offs[s], offs[s+1]
-			if lo == hi {
-				continue
-			}
-			for _, i := range members[lo:hi] {
-				arow := a.Row(int(i))
-				for j, v := range arow {
-					orow[j] += v
-				}
-			}
-			inv := 1 / float64(hi-lo)
-			for j := range orow {
-				orow[j] *= inv
-			}
-		}
-	})
-	return dst
-}
-
 // ScatterAddRowsPar adds each row i of src into dst.Row(idx[i]), fanning
 // out over destination-row blocks for large inputs. Every dst row is
 // owned by one worker and source rows are applied in ascending order, so

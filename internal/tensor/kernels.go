@@ -211,37 +211,11 @@ func MatMulInto(a, b, dst *Matrix) *Matrix {
 	return dst
 }
 
-// MatMulTanhInto computes tanh(a·b) into dst: the activation is applied in
-// the store loop while each freshly computed output row is still hot.
-func MatMulTanhInto(a, b, dst *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul-tanh shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape("matmul-tanh dst", dst, a.Rows, b.Cols)
-	n := b.Cols
-	rowRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			orow := dst.Data[i*n : (i+1)*n]
-			productRow(a.Data[i*a.Cols:(i+1)*a.Cols], b.Data, n, orow)
-			for j, v := range orow {
-				orow[j] = math.Tanh(v)
-			}
-		}
-	}
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
-		rowRange(0, a.Rows)
-		return dst
-	}
-	parallel.RunChunks(a.Rows, parallel.DefaultWorkers(), rowRange)
-	return dst
-}
-
 // ConcatMatMulTanhInto computes tanh(concat(x[:, lo:hi], y)·b) into dst
 // without materializing the slice or the concatenation: each operand row
-// is assembled in a worker-local scratch and fed to the same productRow
-// kernel MatMulTanhInto uses, so the result is bit-identical to slicing,
-// concatenating, and calling MatMulTanhInto.
+// is assembled in a worker-local scratch and fed to productRow, the kernel
+// of MatMulInto's unpacked path, so for B below packMinElems the result is
+// bit-identical to slicing, concatenating, MatMulInto and TanhInto.
 func ConcatMatMulTanhInto(x *Matrix, lo, hi int, y, b, dst *Matrix) *Matrix {
 	if lo < 0 || hi > x.Cols || lo > hi {
 		panic(fmt.Sprintf("tensor: concat-matmul-tanh slice [%d,%d) of %d", lo, hi, x.Cols))
@@ -275,31 +249,6 @@ func ConcatMatMulTanhInto(x *Matrix, lo, hi int, y, b, dst *Matrix) *Matrix {
 		return dst
 	}
 	parallel.RunChunks(x.Rows, parallel.DefaultWorkers(), rowRange)
-	return dst
-}
-
-// GatherMatMulInto computes gather(a, idx)·b into dst (len(idx)×b.Cols)
-// without materializing the gathered matrix: each source row is read in
-// place through the index indirection.
-func GatherMatMulInto(a *Matrix, idx []int, b, dst *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: gather-matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape("gather-matmul dst", dst, len(idx), b.Cols)
-	checkGather(idx, a.Rows)
-	n := b.Cols
-	rowRange := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := idx[i]
-			productRow(a.Data[r*a.Cols:(r+1)*a.Cols], b.Data, n, dst.Data[i*n:(i+1)*n])
-		}
-	}
-	work := len(idx) * a.Cols * b.Cols
-	if work < parallelThreshold {
-		rowRange(0, len(idx))
-		return dst
-	}
-	parallel.RunChunks(len(idx), parallel.DefaultWorkers(), rowRange)
 	return dst
 }
 
